@@ -19,17 +19,15 @@
 use mm_mapspace::{MapSpaceView, Mapping, ProblemSpec};
 use mm_search::{ProposalBuf, ProposalSearch, SyncAction};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::config::Phase2Config;
+use crate::step::GradientStep;
 use crate::surrogate::Surrogate;
 use crate::MindMappingsError;
 
 /// The live trajectory state of one run.
 #[derive(Debug, Clone)]
 struct TrajectoryState {
-    /// Whitened input vector at the current point.
-    x: Vec<f32>,
     /// Current (valid, projected) mapping.
     current: Mapping,
     /// Whether the initial mapping has been proposed yet.
@@ -56,6 +54,11 @@ pub struct GradientProposer {
     problem: ProblemSpec,
     config: Phase2Config,
     state: Option<TrajectoryState>,
+    /// The surrogate passes, built once per proposer. Its cached forward
+    /// pass must follow every reassignment of `state.current` (`begin`,
+    /// injection accept, `observe_global_best`): a stale one silently
+    /// yields the gradient of another point.
+    passes: GradientStep,
     /// An incumbent observed before [`ProposalSearch::begin`]: the next
     /// trajectory starts from it instead of a random mapping (used by the
     /// sequential sharded Phase-2 search to warm-start shard `s+1` on the
@@ -84,6 +87,7 @@ impl GradientProposer {
             problem,
             config,
             state: None,
+            passes: GradientStep::new(surrogate),
             pending_anchor: None,
         })
     }
@@ -96,47 +100,32 @@ impl GradientProposer {
         // session is a driver bug, not a recoverable state.
         let state = self.state.as_mut().expect("begin() not called");
         state.iteration += 1;
-        let mapping_offset = self.surrogate.encoding().mapping_offset();
 
-        // Gradient of the surrogate's predicted cost w.r.t. the mapping.
-        let mut grad = self.surrogate.normalized_edp_gradient(&state.x);
-        // The problem id is held constant (Section 4.2): zero its gradient.
-        for g in grad.iter_mut().take(mapping_offset) {
-            *g = 0.0;
-        }
-        if cfg.normalize_gradient {
-            let norm: f32 = grad.iter().map(|g| g * g).sum::<f32>().sqrt();
-            if norm > 1e-12 {
-                for g in &mut grad {
-                    *g /= norm;
-                }
-            }
-        }
-        // Step in whitened space, then project back onto the map space.
-        for (xi, gi) in state.x.iter_mut().zip(&grad) {
-            *xi -= cfg.learning_rate * gi;
-        }
-        let raw = self.surrogate.decode_normalized(&state.x);
+        // Gradient step in whitened space, projected back onto the map space.
+        let raw = self.passes.descend(&self.surrogate, cfg);
         state.current = space
-            .project(&raw)
+            .project(raw)
             .unwrap_or_else(|_| space.random_mapping(rng));
-        state.x = self
-            .surrogate
-            .encode_normalized(&self.problem, &state.current);
-        let projected_pred = self.surrogate.predict_normalized_edp_from_input(&state.x);
+        let projected_pred = self
+            .passes
+            .set_point(&self.surrogate, &self.problem, &state.current);
 
         // Periodic random injection with annealed acceptance (Appendix A).
         if cfg.injection_interval > 0 && state.iteration.is_multiple_of(cfg.injection_interval) {
             let candidate = space.random_mapping(rng);
-            let cand_x = self.surrogate.encode_normalized(&self.problem, &candidate);
-            let cand_pred = self.surrogate.predict_normalized_edp_from_input(&cand_x);
-            let accept = cand_pred <= projected_pred || {
-                let delta = cand_pred - projected_pred;
-                rng.gen_range(0.0..1.0) < (-delta / state.temperature.max(1e-12)).exp()
-            };
-            if accept {
+            if self
+                .passes
+                .offer_candidate(
+                    &self.surrogate,
+                    &self.problem,
+                    &candidate,
+                    projected_pred,
+                    state.temperature,
+                    rng,
+                )
+                .is_some()
+            {
                 state.current = candidate;
-                state.x = cand_x;
             }
             state.injections += 1;
             if state.decay_every > 0 && state.injections.is_multiple_of(state.decay_every) {
@@ -185,9 +174,9 @@ impl ProposalSearch for GradientProposer {
             }
             None => space.random_mapping(rng),
         };
-        let x = self.surrogate.encode_normalized(&self.problem, &current);
+        self.passes
+            .set_point(&self.surrogate, &self.problem, &current);
         self.state = Some(TrajectoryState {
-            x,
             current,
             proposed_initial: false,
             temperature: self.config.initial_temperature,
@@ -246,7 +235,7 @@ impl ProposalSearch for GradientProposer {
     fn report(&mut self, _mapping: &Mapping, _cost: f64, _rng: &mut StdRng) {}
 
     /// Re-anchor the trajectory on the incumbent: the current point (and
-    /// its whitened encoding) jump to `mapping`, and
+    /// its cached surrogate forward pass) jump to `mapping`, and
     /// [`SyncAction::Restart`] additionally resets the annealed-injection
     /// temperature schedule so the reseeded trajectory regains its early
     /// acceptance mobility. Observed before [`begin`](ProposalSearch::begin),
@@ -264,7 +253,8 @@ impl ProposalSearch for GradientProposer {
         match self.state.as_mut() {
             Some(state) => {
                 state.current = mapping.clone();
-                state.x = self.surrogate.encode_normalized(&self.problem, mapping);
+                self.passes
+                    .set_point(&self.surrogate, &self.problem, mapping);
                 if action == SyncAction::Restart {
                     state.temperature = initial_temperature;
                     state.injections = 0;

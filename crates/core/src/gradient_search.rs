@@ -12,6 +12,11 @@
 //!    over time (Appendix A: interval 10, T₀ = 50, ×0.75 every 50
 //!    injections).
 //!
+//! Steps 1 and 2 share one forward pass: [`GradientStep`] caches it when
+//! the projected point of step 4 is set, so an iteration runs the network
+//! forward once and back once (input gradient only), plus one forward
+//! pass per injection.
+//!
 //! Crucially the loop only ever queries the **surrogate**; the expensive
 //! reference cost model is not needed during the search, which is what gives
 //! Mind Mappings its iso-time advantage (Section 5.4.2). The true cost of the
@@ -24,9 +29,9 @@ use mm_accel::CostModel;
 use mm_mapspace::{MapSpace, Mapping, ProblemSpec};
 use mm_search::{Budget, SearchTrace};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::config::Phase2Config;
+use crate::step::GradientStep;
 use crate::surrogate::Surrogate;
 use crate::MindMappingsError;
 
@@ -39,8 +44,6 @@ struct IterationRecord {
     candidate: Option<Mapping>,
     /// Wall-clock seconds elapsed since the search started.
     elapsed_s: f64,
-    /// Surrogate-predicted normalized EDP of the current candidate.
-    predicted: f64,
 }
 
 /// The Phase-2 gradient searcher, bound to a surrogate and a target problem.
@@ -101,9 +104,9 @@ impl<'a> GradientSearch<'a> {
         let start = Instant::now();
         let mut records: Vec<IterationRecord> = Vec::new();
 
+        let mut step = GradientStep::new(self.surrogate);
         let mut current = self.space.random_mapping(rng);
-        let mut x = self.surrogate.encode_normalized(&self.problem, &current);
-        let mapping_offset = self.surrogate.encoding().mapping_offset();
+        step.set_point(self.surrogate, &self.problem, &current);
 
         let mut best_pred = f64::INFINITY;
         let mut best_mapping: Option<Mapping> = None;
@@ -114,35 +117,15 @@ impl<'a> GradientSearch<'a> {
         while !budget.exhausted(iteration, start.elapsed()) {
             iteration += 1;
 
-            // Steps 2-3: predicted cost and gradient at the current point.
-            let predicted = self.surrogate.predict_normalized_edp_from_input(&x);
-            let mut grad = self.surrogate.normalized_edp_gradient(&x);
-            // The problem id is held constant (Section 4.2): zero its grad.
-            for g in grad.iter_mut().take(mapping_offset) {
-                *g = 0.0;
-            }
-            if cfg.normalize_gradient {
-                let norm: f32 = grad.iter().map(|g| g * g).sum::<f32>().sqrt();
-                if norm > 1e-12 {
-                    for g in &mut grad {
-                        *g /= norm;
-                    }
-                }
-            }
-            // Step 4: gradient step in whitened space.
-            for (xi, gi) in x.iter_mut().zip(&grad) {
-                *xi -= cfg.learning_rate * gi;
-            }
-
-            // Step 5: project back to the valid map space.
-            let raw_mapping = self.surrogate.decode_normalized(&x);
-            let previous = current.clone();
-            current = self
+            // Steps 2-4: gradient step in whitened space, projected back to
+            // the valid map space.
+            let raw_mapping = step.descend(self.surrogate, cfg);
+            let projected = self
                 .space
-                .project(&raw_mapping)
+                .project(raw_mapping)
                 .unwrap_or_else(|_| self.space.random_mapping(rng));
-            x = self.surrogate.encode_normalized(&self.problem, &current);
-            let mut projected_pred = self.surrogate.predict_normalized_edp_from_input(&x);
+            let previous = std::mem::replace(&mut current, projected);
+            let projected_pred = step.set_point(self.surrogate, &self.problem, &current);
 
             // Track the best-so-far candidate by surrogate prediction (the
             // mapping the deployment-mode API would return).
@@ -151,19 +134,18 @@ impl<'a> GradientSearch<'a> {
                 best_mapping = Some(current.clone());
             }
 
-            // Step 6: periodic random injection with annealed acceptance.
+            // Step 5: periodic random injection with annealed acceptance.
             if cfg.injection_interval > 0 && iteration.is_multiple_of(cfg.injection_interval) {
                 let candidate = self.space.random_mapping(rng);
-                let cand_x = self.surrogate.encode_normalized(&self.problem, &candidate);
-                let cand_pred = self.surrogate.predict_normalized_edp_from_input(&cand_x);
-                let accept = cand_pred <= projected_pred || {
-                    let delta = cand_pred - projected_pred;
-                    rng.gen_range(0.0..1.0) < (-delta / temperature.max(1e-12)).exp()
-                };
-                if accept {
+                if let Some(cand_pred) = step.offer_candidate(
+                    self.surrogate,
+                    &self.problem,
+                    &candidate,
+                    projected_pred,
+                    temperature,
+                    rng,
+                ) {
                     current = candidate;
-                    x = cand_x;
-                    projected_pred = cand_pred;
                     if cand_pred < best_pred {
                         best_pred = cand_pred;
                         best_mapping = Some(current.clone());
@@ -178,13 +160,8 @@ impl<'a> GradientSearch<'a> {
             }
 
             records.push(IterationRecord {
-                candidate: if current == previous {
-                    None
-                } else {
-                    Some(current.clone())
-                },
+                candidate: (current != previous).then(|| current.clone()),
                 elapsed_s: start.elapsed().as_secs_f64(),
-                predicted: predicted.min(projected_pred),
             });
         }
         (records, best_mapping)
@@ -209,7 +186,6 @@ impl<'a> GradientSearch<'a> {
                     std::time::Duration::from_secs_f64(rec.elapsed_s),
                 );
             }
-            let _ = rec.predicted;
         }
         trace
     }

@@ -41,6 +41,7 @@ pub mod dataset;
 pub mod gradient_proposer;
 pub mod gradient_search;
 pub mod objective;
+pub mod step;
 pub mod surrogate;
 
 pub use api::MindMappings;
@@ -49,6 +50,7 @@ pub use dataset::{generate_training_set, SurrogateDataset};
 pub use gradient_proposer::GradientProposer;
 pub use gradient_search::GradientSearch;
 pub use objective::CostModelObjective;
+pub use step::GradientStep;
 pub use surrogate::Surrogate;
 
 /// Errors produced by the Mind Mappings framework.

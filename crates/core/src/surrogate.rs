@@ -12,7 +12,7 @@
 use mm_accel::{AlgorithmicMinimum, Architecture};
 use mm_mapspace::{Encoding, Mapping, ProblemSpec};
 use mm_nn::optim::Sgd;
-use mm_nn::{Dataset, Mlp, Normalizer, TrainConfig, TrainHistory, Trainer};
+use mm_nn::{Dataset, Matrix, Mlp, Normalizer, TrainConfig, TrainHistory, Trainer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -146,16 +146,45 @@ impl Surrogate {
     /// Encode a mapping (plus problem id) into the surrogate's whitened input
     /// space.
     pub fn encode_normalized(&self, problem: &ProblemSpec, mapping: &Mapping) -> Vec<f32> {
-        let raw = self.encoding().encode(problem, mapping);
-        self.input_norm.transform(&raw)
+        let mut x = Vec::new();
+        self.encode_normalized_into(problem, mapping, &mut x);
+        x
+    }
+
+    /// [`encode_normalized`](Self::encode_normalized) into `x`, replacing
+    /// its contents.
+    // mm-lint: hot-path — one Phase-2 step encodes its projected point.
+    pub fn encode_normalized_into(
+        &self,
+        problem: &ProblemSpec,
+        mapping: &Mapping,
+        x: &mut Vec<f32>,
+    ) {
+        self.encoding().encode_into(problem, mapping, x);
+        self.input_norm.transform_in_place(x);
     }
 
     /// Extract the raw (un-whitened) mapping portion of a whitened input
     /// vector; the result can be fed to
     /// [`MapSpace::project`](mm_mapspace::MapSpace::project).
     pub fn decode_normalized(&self, x_normalized: &[f32]) -> Vec<f32> {
-        let raw = self.input_norm.inverse(x_normalized);
-        raw[self.encoding().mapping_offset()..].to_vec()
+        let mut raw = Vec::new();
+        self.decode_normalized_into(x_normalized, &mut raw);
+        raw
+    }
+
+    /// [`decode_normalized`](Self::decode_normalized) into `raw`, replacing
+    /// its contents.
+    // mm-lint: hot-path — one Phase-2 step decodes its stepped point.
+    pub fn decode_normalized_into(&self, x_normalized: &[f32], raw: &mut Vec<f32>) {
+        raw.clear();
+        raw.extend(
+            x_normalized
+                .iter()
+                .enumerate()
+                .skip(self.encoding().mapping_offset())
+                .map(|(i, &v)| self.input_norm.inverse_feature(i, v)),
+        );
     }
 
     // ------------------------------------------------------------------
@@ -199,10 +228,7 @@ impl Surrogate {
 
     /// Predicted normalized EDP directly from a whitened input vector.
     pub fn predict_normalized_edp_from_input(&self, x_normalized: &[f32]) -> f64 {
-        let (rel_energy, rel_cycles, _, _) = self.predict_energy_cycles(x_normalized);
-        // EDP relative to the lower bound is the product of the relative
-        // energy and relative delay.
-        rel_energy * rel_cycles
+        self.edp_from_output(&self.mlp.predict(x_normalized))
     }
 
     /// Predicted normalized EDP for a whole batch of mappings in **one**
@@ -221,23 +247,14 @@ impl Surrogate {
         self.mlp
             .predict_batch(&xs)
             .iter()
-            .map(|z| {
-                let (rel_energy, rel_cycles, _, _) = self.energy_cycles_from_output(z);
-                rel_energy * rel_cycles
-            })
+            .map(|z| self.edp_from_output(z))
             .collect()
     }
 
-    /// Predicted lower-bound-relative energy and cycles plus the z-space
-    /// standard deviations of the two output neurons (needed by the chain
-    /// rule in [`normalized_edp_gradient`](Self::normalized_edp_gradient)).
-    fn predict_energy_cycles(&self, x_normalized: &[f32]) -> (f64, f64, f64, f64) {
-        let z = self.mlp.predict(x_normalized);
-        self.energy_cycles_from_output(&z)
-    }
-
     /// Decode one network-output row into lower-bound-relative energy and
-    /// cycles (plus the z-space standard deviations of the two neurons).
+    /// cycles (plus the z-space standard deviations of the two neurons,
+    /// needed by the chain rule in
+    /// [`edp_gradient_weights`](Self::edp_gradient_weights)).
     fn energy_cycles_from_output(&self, z: &[f32]) -> (f64, f64, f64, f64) {
         let ci = self.cycles_index();
         let ei = self.energy_index();
@@ -255,21 +272,40 @@ impl Surrogate {
         (rel_energy, rel_cycles, std_e, std_c)
     }
 
-    /// Gradient of the predicted normalized EDP with respect to the whitened
-    /// input vector (problem id ⊕ mapping). Phase 2 only applies the mapping
-    /// portion (the problem id is held fixed, Section 4.2).
-    pub fn normalized_edp_gradient(&self, x_normalized: &[f32]) -> Vec<f32> {
+    /// Predicted normalized EDP of one network-output row: the relative
+    /// energy times the relative delay.
+    pub(crate) fn edp_from_output(&self, z: &[f32]) -> f64 {
+        let (rel_energy, rel_cycles, _, _) = self.energy_cycles_from_output(z);
+        rel_energy * rel_cycles
+    }
+
+    /// Fill `weights` (one per network output) so that the input gradient
+    /// of `sum(weights ⊙ output)`, at the row whose output is `z`, is the
+    /// gradient of the predicted normalized EDP.
+    // mm-lint: hot-path — one Phase-2 step derives its weights here.
+    pub(crate) fn edp_gradient_weights(&self, z: &[f32], weights: &mut [f32]) {
         let ci = self.cycles_index();
         let ei = self.energy_index();
-        let (rel_energy, rel_cycles, std_e, std_c) = self.predict_energy_cycles(x_normalized);
+        let (rel_energy, rel_cycles, std_e, std_c) = self.energy_cycles_from_output(z);
         // EDP = E · C with E = exp(std_E·z_E + mean_E) − 1 (and likewise C),
         // so dEDP/dz_E = C · std_E · (E + 1) and dEDP/dz_C = E · std_C · (C + 1).
         // Both terms are linear in the network output, so a single backward
         // pass with the combined output weights suffices.
-        let mut weights = vec![0.0f32; self.mlp.output_dim()];
+        weights.fill(0.0);
         weights[ei] = (rel_cycles * std_e * (rel_energy + 1.0)) as f32;
         weights[ci] = (rel_energy * std_c * (rel_cycles + 1.0)) as f32;
-        self.mlp.input_gradient(x_normalized, &weights)
+    }
+
+    /// Gradient of the predicted normalized EDP with respect to the whitened
+    /// input vector (problem id ⊕ mapping). Phase 2 only applies the mapping
+    /// portion (the problem id is held fixed, Section 4.2). One forward pass
+    /// and one input-only backward pass; a search that steps repeatedly
+    /// uses [`GradientStep`](crate::GradientStep) instead.
+    pub fn normalized_edp_gradient(&self, x_normalized: &[f32]) -> Vec<f32> {
+        let cache = self.mlp.forward_cached(&Matrix::row_vector(x_normalized));
+        let mut weights = vec![0.0f32; self.mlp.output_dim()];
+        self.edp_gradient_weights(cache.output().as_slice(), &mut weights);
+        self.mlp.input_gradient_cached(&cache, &weights)
     }
 
     /// Mean-squared error of predicted vs. true normalized EDP over a set of

@@ -32,8 +32,18 @@ use std::path::{Path, PathBuf};
 /// Directory names the walker never descends into.
 const SKIP_DIRS: [&str; 6] = ["target", "vendor", ".git", ".github", "fixtures", "corpus"];
 
+/// Whether `dir` holds a `Cargo.toml` declaring its own `[workspace]`: a
+/// nested workspace (such as the benchmark package) is a separate project,
+/// outside this workspace's contracts, and the walker stops there as it
+/// does at `vendor/`.
+fn is_nested_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|line| line.trim() == "[workspace]"))
+}
+
 /// Collect every workspace `.rs` file under `root`, sorted by relative
-/// path so output (and rule evaluation order) is deterministic.
+/// path so output (and rule evaluation order) is deterministic. Nested
+/// workspaces below `root` are skipped.
 ///
 /// # Errors
 ///
@@ -50,7 +60,10 @@ pub fn collect_sources(root: &Path) -> Result<Vec<PathBuf>, String> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if !SKIP_DIRS.contains(&name.as_ref()) && !name.starts_with('.') {
+                if !SKIP_DIRS.contains(&name.as_ref())
+                    && !name.starts_with('.')
+                    && !is_nested_workspace(&path)
+                {
                     stack.push(path);
                 }
             } else if name.ends_with(".rs") {
@@ -154,6 +167,32 @@ mod tests {
             relative(root, Path::new("/w/crates/core/src/lib.rs")),
             "crates/core/src/lib.rs"
         );
+    }
+
+    #[test]
+    fn walker_skips_nested_workspaces_but_not_member_crates() {
+        let root = std::env::temp_dir().join(format!("mm-lint-walk-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        write("Cargo.toml", "[workspace]\nmembers = [\"member\"]\n");
+        write("src/lib.rs", "");
+        write("member/Cargo.toml", "[package]\nname = \"member\"\n");
+        write("member/src/lib.rs", "");
+        write(
+            "bench/Cargo.toml",
+            "[package]\nname = \"bench\"\n\n[workspace]\n",
+        );
+        write("bench/src/main.rs", "");
+        let found: Vec<String> = collect_sources(&root)
+            .unwrap()
+            .iter()
+            .map(|p| relative(&root, p))
+            .collect();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(found, ["member/src/lib.rs", "src/lib.rs"]);
     }
 
     #[test]

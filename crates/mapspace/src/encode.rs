@@ -75,9 +75,17 @@ impl Encoding {
     /// order; buffer allocations as fractions in `(0, 1]`.
     pub fn encode(&self, problem: &ProblemSpec, m: &Mapping) -> Vec<f32> {
         let mut v = Vec::with_capacity(self.total_len());
-        v.extend(problem.problem_id());
-        self.encode_mapping_into(problem, m, &mut v);
+        self.encode_into(problem, m, &mut v);
         v
+    }
+
+    /// [`encode`](Self::encode) into `v`, replacing its contents; allocates
+    /// nothing once `v` has held one encoding.
+    // mm-lint: hot-path — one Phase-2 step encodes its projected point.
+    pub fn encode_into(&self, problem: &ProblemSpec, m: &Mapping, v: &mut Vec<f32>) {
+        v.clear();
+        v.extend(problem.problem_id());
+        self.encode_mapping_into(problem, m, v);
     }
 
     /// Encode only the mapping portion (no problem-id prefix).

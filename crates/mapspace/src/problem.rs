@@ -239,8 +239,8 @@ impl ProblemSpec {
 
     /// The problem-id vector used to condition the surrogate (Section 4.1.1):
     /// simply the dimension sizes as floats.
-    pub fn problem_id(&self) -> Vec<f32> {
-        self.dim_sizes.iter().map(|&s| s as f32).collect()
+    pub fn problem_id(&self) -> impl Iterator<Item = f32> + '_ {
+        self.dim_sizes.iter().map(|&s| s as f32)
     }
 
     /// The output tensor index. Problems are guaranteed to have one.
@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn problem_id_matches_dim_sizes() {
         let p = conv();
-        assert_eq!(p.problem_id(), vec![60.0, 5.0]);
+        assert_eq!(p.problem_id().collect::<Vec<_>>(), vec![60.0, 5.0]);
     }
 
     #[test]

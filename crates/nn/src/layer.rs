@@ -20,22 +20,28 @@ impl Activation {
     /// Apply the activation element-wise.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut out = x.clone();
+        self.forward_in_place(out.as_mut_slice());
+        out
+    }
+
+    /// [`forward`](Self::forward) over a slice, in place.
+    // mm-lint: hot-path — the Phase-2 row kernel runs this every step.
+    pub fn forward_in_place(&self, values: &mut [f32]) {
         match self {
             Activation::Identity => {}
             Activation::Relu => {
-                for v in out.as_mut_slice() {
+                for v in values {
                     if *v < 0.0 {
                         *v = 0.0;
                     }
                 }
             }
             Activation::Tanh => {
-                for v in out.as_mut_slice() {
+                for v in values {
                     *v = v.tanh();
                 }
             }
         }
-        out
     }
 
     /// Back-propagate through the activation: element-wise product of the
@@ -43,23 +49,30 @@ impl Activation {
     /// *pre-activation* input `x`.
     pub fn backward(&self, x: &Matrix, grad_out: &Matrix) -> Matrix {
         let mut grad = grad_out.clone();
+        self.backward_in_place(x.as_slice(), grad.as_mut_slice());
+        grad
+    }
+
+    /// [`backward`](Self::backward) over slices: scales `grad` in place by
+    /// the derivative at the pre-activation values `x`.
+    // mm-lint: hot-path — the Phase-2 row kernel runs this every step.
+    pub fn backward_in_place(&self, x: &[f32], grad: &mut [f32]) {
         match self {
             Activation::Identity => {}
             Activation::Relu => {
-                for (g, &xv) in grad.as_mut_slice().iter_mut().zip(x.as_slice()) {
+                for (g, &xv) in grad.iter_mut().zip(x) {
                     if xv <= 0.0 {
                         *g = 0.0;
                     }
                 }
             }
             Activation::Tanh => {
-                for (g, &xv) in grad.as_mut_slice().iter_mut().zip(x.as_slice()) {
+                for (g, &xv) in grad.iter_mut().zip(x) {
                     let t = xv.tanh();
                     *g *= 1.0 - t * t;
                 }
             }
         }
-        grad
     }
 }
 

@@ -11,6 +11,9 @@
 //! * [`Linear`] / [`Activation`] / [`Mlp`] — dense layers with manual
 //!   backpropagation producing gradients w.r.t. **parameters and inputs**
 //!   (input gradients are what Phase 2's gradient search needs);
+//! * [`RowKernel`] — a per-search weight snapshot that runs one row forward
+//!   and back (input gradient only) into reusable buffers, bit-identical to
+//!   the [`Mlp`] passes: Phase 2's per-step kernel;
 //! * [`Loss`] — MSE, MAE, and Huber losses (Section 5.5 / Figure 7b);
 //! * [`optim`] — SGD with momentum and Adam, with step learning-rate decay;
 //! * [`Normalizer`], [`Dataset`], [`Trainer`] — z-score normalization,
@@ -39,6 +42,7 @@ pub mod loss;
 pub mod matrix;
 pub mod mlp;
 pub mod optim;
+pub mod row;
 pub mod train;
 
 pub use data::{Dataset, Normalizer};
@@ -46,6 +50,7 @@ pub use layer::{Activation, Linear};
 pub use loss::Loss;
 pub use matrix::Matrix;
 pub use mlp::Mlp;
+pub use row::{RowActivations, RowKernel};
 pub use train::{TrainConfig, TrainHistory, Trainer};
 
 /// Errors from dataset construction and shape checking.

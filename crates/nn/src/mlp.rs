@@ -110,6 +110,16 @@ impl Mlp {
         &mut self.layers
     }
 
+    /// The activation applied after layer `i`: the output activation after
+    /// the last layer, the hidden one elsewhere.
+    pub(crate) fn activation(&self, i: usize) -> Activation {
+        if i + 1 == self.layers.len() {
+            self.output_activation
+        } else {
+            self.hidden_activation
+        }
+    }
+
     /// Forward pass on a batch, returning outputs and the cache needed for
     /// backpropagation.
     pub fn forward_cached(&self, x: &Matrix) -> ForwardCache {
@@ -121,12 +131,7 @@ impl Mlp {
             inputs.push(cur.clone());
             let pre = layer.forward(&cur);
             pre_activations.push(pre.clone());
-            let act = if i + 1 == n {
-                self.output_activation
-            } else {
-                self.hidden_activation
-            };
-            cur = act.forward(&pre);
+            cur = self.activation(i).forward(&pre);
         }
         ForwardCache {
             inputs,
@@ -165,12 +170,9 @@ impl Mlp {
         let mut layer_grads: Vec<Option<LinearGrad>> = (0..n).map(|_| None).collect();
         let mut grad = grad_output.clone();
         for i in (0..n).rev() {
-            let act = if i + 1 == n {
-                self.output_activation
-            } else {
-                self.hidden_activation
-            };
-            grad = act.backward(&cache.pre_activations[i], &grad);
+            grad = self
+                .activation(i)
+                .backward(&cache.pre_activations[i], &grad);
             let (grad_in, pgrad) = self.layers[i].backward(&cache.inputs[i], &grad);
             layer_grads[i] = Some(pgrad);
             grad = grad_in;
@@ -194,9 +196,66 @@ impl Mlp {
     /// candidate mapping.
     pub fn input_gradient(&self, x: &[f32], output_weights: &[f32]) -> Vec<f32> {
         let cache = self.forward_cached(&Matrix::row_vector(x));
-        let grad_out = Matrix::row_vector(output_weights);
-        let (_, grad_in) = self.backward(&cache, &grad_out);
-        grad_in.as_slice().to_vec()
+        self.input_gradient_cached(&cache, output_weights)
+    }
+
+    /// [`input_gradient`](Self::input_gradient) from the cache of an
+    /// already-run **single-row** forward pass, so a caller that needs the
+    /// output too (to derive `output_weights` from it) runs the network
+    /// once. Bit-identical to the input gradient [`backward`](Self::backward)
+    /// returns, without computing any weight gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cached forward pass was not over exactly one row.
+    pub fn input_gradient_cached(&self, cache: &ForwardCache, output_weights: &[f32]) -> Vec<f32> {
+        assert_eq!(cache.output.rows(), 1, "input gradient of a single row");
+        let mut grad = output_weights.to_vec();
+        let mut scratch = Vec::new();
+        self.row_input_backward(
+            |i| cache.pre_activations[i].as_slice(),
+            &mut grad,
+            &mut scratch,
+        );
+        grad
+    }
+
+    /// The input-only backward pass for one row, shared by
+    /// [`input_gradient_cached`](Self::input_gradient_cached) and
+    /// [`RowKernel`](crate::RowKernel). On entry `grad` holds dL/d output;
+    /// on return it holds dL/d input. Per layer, from the last: activation
+    /// backward at `pre_activation(i)`, then `dX = dY · W` as
+    /// [`Matrix::matmul`] computes it (ascending over outputs, rows whose
+    /// upstream gradient is zero skipped), so the result equals
+    /// [`backward`](Self::backward)'s to the bit. `scratch` is swapped with
+    /// `grad` per layer; neither allocates once both have held the widest
+    /// layer.
+    // mm-lint: hot-path — one Phase-2 step runs this once.
+    pub(crate) fn row_input_backward<'a>(
+        &self,
+        pre_activation: impl Fn(usize) -> &'a [f32],
+        grad: &mut Vec<f32>,
+        scratch: &mut Vec<f32>,
+    ) {
+        for (i, layer) in self.layers.iter().enumerate().rev() {
+            self.activation(i)
+                .backward_in_place(pre_activation(i), grad);
+            let inputs = layer.in_features();
+            scratch.clear();
+            scratch.resize(inputs, 0.0);
+            for (&g, w_row) in grad
+                .iter()
+                .zip(layer.weight.as_slice().chunks_exact(inputs))
+            {
+                if g == 0.0 {
+                    continue;
+                }
+                for (s, &w) in scratch.iter_mut().zip(w_row) {
+                    *s += g * w;
+                }
+            }
+            std::mem::swap(grad, scratch);
+        }
     }
 }
 

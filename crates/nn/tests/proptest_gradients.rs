@@ -1,9 +1,10 @@
 //! Property-based gradient checks: for randomly shaped MLPs and random
 //! inputs, analytic input gradients must agree with central finite
-//! differences, and training must never produce NaNs.
+//! differences, the row kernel must reproduce the batch passes to the bit,
+//! and training must never produce NaNs.
 
 use mm_nn::optim::Sgd;
-use mm_nn::{Dataset, Loss, Matrix, Mlp, Normalizer, TrainConfig, Trainer};
+use mm_nn::{Activation, Dataset, Loss, Matrix, Mlp, Normalizer, RowKernel, TrainConfig, Trainer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,6 +51,54 @@ proptest! {
                 (fd - grad[i] as f64).abs() < 0.05 * (1.0 + grad[i].abs() as f64),
                 "feature {}: fd {} vs analytic {}", i, fd, grad[i]
             );
+        }
+    }
+
+    /// The row kernel's forward equals `predict` and its input gradient
+    /// equals `forward_cached` + `backward`, bit for bit, for every
+    /// activation, widths that are not multiples of 8, and inputs holding
+    /// `0.0`, `-0.0` and large values.
+    #[test]
+    fn row_kernel_matches_batch_passes_to_the_bit(
+        seed in 0u64..u64::MAX,
+        widths in prop::collection::vec(1usize..20, 3..6),
+        hidden in prop::sample::select(vec![Activation::Identity, Activation::Relu, Activation::Tanh]),
+        output in prop::sample::select(vec![Activation::Identity, Activation::Relu, Activation::Tanh]),
+        specials in prop::collection::vec(0usize..5, 1..20),
+    ) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut net = Mlp::with_activations(&widths, hidden, output, &mut rng);
+        // Initial biases are zero; random ones make the order of the bias
+        // add observable.
+        for layer in net.layers_mut() {
+            for b in &mut layer.bias {
+                *b = rng.gen_range(-1.0f32..1.0);
+            }
+        }
+        let kernel = RowKernel::new(&net);
+        let mut acts = kernel.activations();
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        for round in 0..3 {
+            // Each input is random, or one of the values the zero-skip and
+            // overflow paths must get right.
+            let x: Vec<f32> = (0..widths[0])
+                .map(|i| match specials[(i + round) % specials.len()] {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => rng.gen_range(-1e30f32..1e30),
+                    _ => rng.gen_range(-3.0f32..3.0),
+                })
+                .collect();
+            let w: Vec<f32> = (0..*widths.last().unwrap())
+                .map(|j| if j % 3 == 0 { 0.0 } else { rng.gen_range(-2.0f32..2.0) })
+                .collect();
+            let out = kernel.forward(&x, &mut acts).to_vec();
+            prop_assert_eq!(bits(&out), bits(&net.predict(&x)));
+            let cache = net.forward_cached(&Matrix::row_vector(&x));
+            let (_, grad_in) = net.backward(&cache, &Matrix::row_vector(&w));
+            prop_assert_eq!(bits(kernel.input_gradient(&mut acts, &w)), bits(grad_in.as_slice()));
+            prop_assert_eq!(bits(&net.input_gradient(&x, &w)), bits(grad_in.as_slice()));
         }
     }
 

@@ -10,7 +10,8 @@
 //! exact bytes across builds, so any change to the deterministic search
 //! stream (RNG derivation, shard slicing, schedule sizing, merge order)
 //! shows up as a reviewable fixture diff instead of silently reshuffling
-//! results.
+//! results. The Phase-2 fixture does the same for the surrogate-guided
+//! search: every true-cost bit of its traces and its best mappings.
 //!
 //! Regenerate deliberately with `MM_BLESS=1 cargo test --test
 //! golden_determinism` after an intentional behaviour change, and commit
@@ -25,7 +26,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use mind_mappings::prelude::*;
+use mind_mappings::workloads::conv1d::Conv1dFamily;
 use mm_mapspace::{ShardAxis, ShardAxisKind};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -109,6 +113,106 @@ fn network_canonical_report_matches_fixture() {
     let report = service.map_network(&table1_network());
     assert_eq!(report.layers.len(), 8);
     check_fixture("network_canonical.txt", &report.canonical_string());
+}
+
+/// One line per Phase-2 result: every trace point's true-cost bits, then
+/// the best mapping.
+fn phase2_line(label: &str, trace: &SearchTrace) -> String {
+    let costs: Vec<String> = trace
+        .points
+        .iter()
+        .map(|p| format!("{:016x}", p.cost.to_bits()))
+        .collect();
+    format!(
+        "{label} points={} costs={} best={:016x} mapping={:?}\n",
+        trace.points.len(),
+        costs.join(","),
+        trace.best_cost.to_bits(),
+        trace.best_mapping,
+    )
+}
+
+/// The pinned Phase-2 scenario: a quick Conv1d surrogate, then
+/// `MindMappings::search` unsharded and over 4 shards with Anchor sync, and
+/// the deployment-mode `best_mapping` both ways. Any change to the surrogate
+/// passes or the gradient step that moves a single bit of a trajectory
+/// shows up here.
+#[test]
+fn phase2_canonical_output_matches_fixture() {
+    let mut rng = StdRng::seed_from_u64(21);
+    let config = Phase1Config {
+        num_samples: 800,
+        mappings_per_problem: 40,
+        hidden_layers: vec![40, 24],
+        epochs: 12,
+        ..Phase1Config::quick()
+    };
+    let (mut mm, _) = MindMappings::train(
+        Architecture::example(),
+        &Conv1dFamily::default(),
+        &config,
+        &mut rng,
+    )
+    .expect("train quick surrogate");
+    let problem = ProblemSpec::conv1d(900, 7);
+    let mut out = String::new();
+
+    let trace = mm.search(&problem, 240, &mut StdRng::seed_from_u64(1));
+    out.push_str(&phase2_line("search shards=1", &trace));
+    let best = mm
+        .best_mapping(
+            &problem,
+            Budget::iterations(150),
+            &mut StdRng::seed_from_u64(2),
+        )
+        .expect("best_mapping");
+    out.push_str(&format!("best_mapping shards=1 mapping={best:?}\n"));
+
+    mm.set_phase2_config(Phase2Config {
+        shards: 4,
+        sync: SyncPolicy::Anchor,
+        ..Phase2Config::default()
+    });
+    let trace = mm.search(&problem, 240, &mut StdRng::seed_from_u64(3));
+    out.push_str(&phase2_line("search shards=4 sync=anchor", &trace));
+    let best = mm
+        .best_mapping(
+            &problem,
+            Budget::iterations(160),
+            &mut StdRng::seed_from_u64(4),
+        )
+        .expect("sharded best_mapping");
+    out.push_str(&format!(
+        "best_mapping shards=4 sync=anchor mapping={best:?}\n"
+    ));
+
+    // Gradient proposers under the mapper with barrier-round Anchor sync:
+    // the incumbent re-anchors running trajectories at every sync point.
+    let space = mm.map_space(&problem);
+    let evaluator: Arc<dyn CostEvaluator> = Arc::new(ModelEvaluator::edp(CostModel::new(
+        mm.arch().clone(),
+        problem.clone(),
+    )));
+    let report = Mapper::new(MapperConfig {
+        threads: 2,
+        shards: Some(4),
+        shard_space: true,
+        schedule: MapperSchedule::Deterministic,
+        seed: 5,
+        sync_interval: 30,
+        sync: SyncPolicy::Anchor,
+        termination: TerminationPolicy::search_size(360),
+        ..MapperConfig::default()
+    })
+    .run(&space, evaluator, |_| {
+        Box::new(
+            GradientProposer::new(mm.surrogate(), problem.clone(), Phase2Config::default())
+                .expect("family match"),
+        )
+    });
+    out.push_str(&report.canonical_string());
+
+    check_fixture("phase2_canonical.txt", &out);
 }
 
 /// Acceptance criterion of the multi-axis refactor: on Table 1 layers the
